@@ -7,12 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ftmode"
 	"repro/internal/rdma/simnet"
+	"repro/internal/replica"
 )
 
 type testCluster struct {
 	pl *simnet.Platform
-	cl *Cluster
+	cl *replica.Cluster
 }
 
 func newTestCluster(t *testing.T, mutate func(*Config)) *testCluster {
@@ -39,8 +41,8 @@ func (tc *testCluster) runClients(t *testing.T, deadline time.Duration, fns ...f
 	for i, fn := range fns {
 		fn := fn
 		cn := tc.pl.AddComputeNode()
-		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c *Client) {
-			fn(c)
+		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c ftmode.Client) {
+			fn(c.(*Client))
 			done++
 		})
 	}
@@ -96,10 +98,10 @@ func TestCRUD(t *testing.T) {
 			t.Errorf("delete: %v", err)
 			return
 		}
-		if _, err := c.Search(key(3)); !errors.Is(err, ErrNotFound) {
+		if _, err := c.Search(key(3)); !errors.Is(err, replica.ErrNotFound) {
 			t.Errorf("search deleted: %v", err)
 		}
-		if err := c.Delete([]byte("missing")); !errors.Is(err, ErrNotFound) {
+		if err := c.Delete([]byte("missing")); !errors.Is(err, replica.ErrNotFound) {
 			t.Errorf("delete missing: %v", err)
 		}
 	})

@@ -134,7 +134,7 @@ func (pl *Platform) AddMemNode(cfg rdma.MemNodeConfig) rdma.NodeID {
 	id := rdma.NodeID(len(pl.nodes))
 	n := &node{
 		id:    id,
-		mem:   make([]byte, cfg.MemBytes),
+		mem:   newPoolMemory(cfg.MemBytes),
 		nic:   sim.NewResource(pl.eng, fmt.Sprintf("mn%d.nic", id), 1),
 		isMem: true,
 	}
@@ -502,6 +502,12 @@ func (c *ctx) RPC(nodeID rdma.NodeID, method uint8, req []byte) ([]byte, error) 
 		return nil, rdma.ErrNoHandler
 	}
 	t.nic.Acquire(c.p, cfg.MsgCost+time.Duration(float64(len(req))/cfg.Bandwidth*1e9))
+	// The node may have fail-stopped while the request queued at its
+	// NIC; Fail drops the handler with the memory.
+	if t.failed {
+		c.p.Sleep(cfg.FailedOpDelay)
+		return nil, rdma.ErrNodeFailed
+	}
 	resp, cpu := t.handler(method, req)
 	if len(t.cores) > 0 {
 		t.cores[rdma.CoreRPC].Acquire(c.p, cfg.RPCBaseCost+cpu)

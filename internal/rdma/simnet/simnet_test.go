@@ -116,6 +116,38 @@ func TestRPCRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRPCFailWhileQueued fails the target while an RPC waits at its
+// NIC behind a long transfer: the RPC must report ErrNodeFailed, not
+// call the handler the failure removed.
+func TestRPCFailWhileQueued(t *testing.T) {
+	pl, mn, cn := testPlatform()
+	pl.SetHandler(mn, func(method uint8, req []byte) ([]byte, time.Duration) {
+		return []byte{0}, time.Microsecond
+	})
+	// A 512 KiB write holds the target NIC for ~75us.
+	pl.Spawn(cn, "bulk", func(c rdma.Ctx) {
+		c.Write(rdma.GlobalAddr{Node: mn}, make([]byte, 512<<10))
+	})
+	var rpcErr error
+	rpcDone := false
+	pl.Spawn(pl.AddComputeNode(), "rpc", func(c rdma.Ctx) {
+		c.Sleep(time.Microsecond)
+		_, rpcErr = c.RPC(mn, 1, nil)
+		rpcDone = true
+	})
+	pl.Spawn(pl.AddComputeNode(), "killer", func(c rdma.Ctx) {
+		c.Sleep(20 * time.Microsecond)
+		pl.Fail(mn)
+	})
+	pl.Engine().RunUntilIdle()
+	if !rpcDone {
+		t.Fatal("RPC did not return")
+	}
+	if !errors.Is(rpcErr, rdma.ErrNodeFailed) {
+		t.Fatalf("rpc err = %v, want ErrNodeFailed", rpcErr)
+	}
+}
+
 // TestSmallOpLatency checks the latency model: a small read should cost
 // roughly 2 propagation delays plus 2 message costs.
 func TestSmallOpLatency(t *testing.T) {

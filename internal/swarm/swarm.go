@@ -6,7 +6,8 @@
 //
 //   - Like FUSEE, every KV pair lives as n full copies on n memory
 //     nodes and the hash index is n-way replicated, so an MN fail-stop
-//     needs no rebuild — survivors carry the data.
+//     needs no rebuild — survivors carry the data. The two modes share
+//     that substrate (internal/replica).
 //   - Unlike FUSEE, updates do not re-place the pair and re-CAS every
 //     index replica. A slot's copies are fixed in place at insert; an
 //     update is one CAS on the primary's version word (serializing
@@ -23,39 +24,28 @@
 // (a delayed insert loser's version write can race a later update);
 // like the FUSEE baseline, it reproduces the mechanism's cost shape,
 // not a verified consensus protocol.
+//
+// The mode registers as core.FTModeSwarm.
 package swarm
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/layout"
 	"repro/internal/racehash"
 	"repro/internal/rdma"
+	"repro/internal/replica"
 )
 
-// Errors. Each wraps the corresponding core error so callers match on
-// one taxonomy regardless of the fault-tolerance mode.
-var (
-	ErrNotFound         = fmt.Errorf("swarm: %w", core.ErrNotFound)
-	ErrNoSpace          = fmt.Errorf("swarm: %w", core.ErrNoSpace)
-	ErrRetriesExhausted = fmt.Errorf("swarm: %w", core.ErrRetriesExhausted)
-)
-
-const maxOpRetries = 1024
+func init() { replica.Register(core.FTModeSwarm, slotBytes, newClient) }
 
 // slotBytes is the fixed index slot width: word0 = fp|addr (atomic),
 // word1 = version.
 const slotBytes = 16
-
-// bucketSlots is the slot count per bucket (one bucket = one 128 B
-// RDMA_READ).
-const bucketSlots = 8
 
 // Config parameterises the mode.
 type Config struct {
@@ -87,178 +77,23 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) bucketBytes() uint64 { return uint64(bucketSlots * slotBytes) }
-func (c *Config) numBuckets() uint64  { return c.PartitionBytes / c.bucketBytes() }
-
-// regionOff returns the offset of hosted partition region j on an MN.
-func (c *Config) regionOff(j int) uint64 { return uint64(j) * c.PartitionBytes }
-
-// blockOff returns the offset of block b on an MN.
-func (c *Config) blockOff(b int) uint64 {
-	return uint64(c.Replicas)*c.PartitionBytes + uint64(b)*c.BlockSize
-}
-
-// memBytes is the registered region size per MN.
-func (c *Config) memBytes() uint64 { return c.blockOff(c.BlocksPerMN) }
-
-// replicaMN returns the MN hosting replica i of partition p.
-func (c *Config) replicaMN(p, i int) int { return (p + i) % c.NumMNs }
-
-// hostedRegion returns which region index of MN m holds partition p's
-// replica, or -1.
-func (c *Config) hostedRegion(m, p int) int {
-	j := ((m-p)%c.NumMNs + c.NumMNs) % c.NumMNs
-	if j < c.Replicas {
-		return j
-	}
-	return -1
-}
-
-// Cluster wires the mode onto a platform.
-type Cluster struct {
-	Cfg   Config
-	pl    rdma.Platform
-	nodes []rdma.NodeID
-
-	mu      sync.Mutex
-	nextBlk []int // bump allocator per MN
-	nextCli uint16
-
-	// viewMu guards the failure view; clients mark MNs failed when a
-	// verb returns rdma.ErrNodeFailed (or a harness calls FailMN) and
-	// fail over to surviving replicas.
-	viewMu sync.Mutex
-	failed []bool
-}
-
 // NewCluster creates the mode's memory nodes and installs its RPC
 // handlers (block allocation, admin kill).
-func NewCluster(cfg Config, pl rdma.Platform) (*Cluster, error) {
-	if cfg.Replicas < 1 || cfg.Replicas > cfg.NumMNs {
-		return nil, fmt.Errorf("swarm: replicas %d out of range", cfg.Replicas)
-	}
-	cl := &Cluster{Cfg: cfg, pl: pl, failed: make([]bool, cfg.NumMNs)}
-	for i := 0; i < cfg.NumMNs; i++ {
-		node := pl.AddMemNode(rdma.MemNodeConfig{MemBytes: cfg.memBytes(), CPUCores: 1})
-		cl.nodes = append(cl.nodes, node)
-		cl.nextBlk = append(cl.nextBlk, 0)
-		mn := i
-		pl.SetHandler(node, func(method uint8, req []byte) ([]byte, time.Duration) {
-			return cl.handle(mn, method, req)
-		})
-	}
-	return cl, nil
+func NewCluster(cfg Config, pl rdma.Platform) (*replica.Cluster, error) {
+	return replica.NewCluster(core.FTModeSwarm, replica.Config{
+		NumMNs:         cfg.NumMNs,
+		Replicas:       cfg.Replicas,
+		SlotBytes:      slotBytes,
+		PartitionBytes: cfg.PartitionBytes,
+		BlockSize:      cfg.BlockSize,
+		BlocksPerMN:    cfg.BlocksPerMN,
+		CacheValues:    cfg.CacheValues,
+	}, pl, newClient)
 }
-
-const (
-	methodAlloc uint8 = 1
-	methodKill  uint8 = 2
-)
-
-// handle serves block allocation and the admin kill.
-func (cl *Cluster) handle(mn int, method uint8, _ []byte) ([]byte, time.Duration) {
-	if method == methodKill {
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			cl.FailMN(mn)
-		}()
-		return []byte{0}, time.Microsecond
-	}
-	if method != methodAlloc {
-		return []byte{1}, time.Microsecond
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.nextBlk[mn] >= cl.Cfg.BlocksPerMN {
-		return []byte{1}, 2 * time.Microsecond
-	}
-	b := cl.nextBlk[mn]
-	cl.nextBlk[mn]++
-	var resp [5]byte
-	resp[0] = 0
-	binary.LittleEndian.PutUint32(resp[1:], uint32(b))
-	return resp[:], 2 * time.Microsecond
-}
-
-// AllocatedBytes returns the total block bytes allocated across MNs.
-func (cl *Cluster) AllocatedBytes() uint64 {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	total := uint64(0)
-	for _, n := range cl.nextBlk {
-		total += uint64(n) * cl.Cfg.BlockSize
-	}
-	return total
-}
-
-// FailMN fail-stops logical MN mn; clients fail over to survivors.
-func (cl *Cluster) FailMN(mn int) {
-	cl.markFailed(mn)
-	cl.pl.Fail(cl.nodes[mn])
-}
-
-func (cl *Cluster) markFailed(mn int) {
-	cl.viewMu.Lock()
-	cl.failed[mn] = true
-	cl.viewMu.Unlock()
-}
-
-// Failed reports whether MN mn is marked failed.
-func (cl *Cluster) Failed(mn int) bool {
-	cl.viewMu.Lock()
-	defer cl.viewMu.Unlock()
-	return cl.failed[mn]
-}
-
-// MNState reports (failed, indexReady, blocksReady); like the FUSEE
-// baseline there is no tiered rebuild.
-func (cl *Cluster) MNState(mn int) (failed, indexReady, blocksReady bool) {
-	f := cl.Failed(mn)
-	return f, !f, !f
-}
-
-// NewClient allocates a client identity.
-func (cl *Cluster) NewClient() *Client {
-	cl.mu.Lock()
-	cl.nextCli++
-	id := cl.nextCli
-	cl.mu.Unlock()
-	return &Client{
-		cl:    cl,
-		id:    id,
-		cache: make(map[string]*cacheEnt),
-		open:  make(map[uint8][]*openBlock),
-	}
-}
-
-// SpawnClient spawns fn as a client process on compute node cn.
-func (cl *Cluster) SpawnClient(cn rdma.NodeID, name string, fn func(*Client)) *Client {
-	cli := cl.NewClient()
-	cl.pl.Spawn(cn, name, func(ctx rdma.Ctx) {
-		cli.ctx = ctx
-		fn(cli)
-	})
-	return cli
-}
-
-// slotWord packs word0: fingerprint in the top byte, 48-bit address
-// below.
-func slotWord(fp uint8, addr uint64) uint64 {
-	return uint64(fp)<<56 | addr&((1<<48)-1)
-}
-
-func slotFP(w uint64) uint8    { return uint8(w >> 56) }
-func slotAddr(w uint64) uint64 { return w & ((1 << 48) - 1) }
 
 // fenceFor returns the copy fence for a version (alternates 1/2 so a
 // torn in-place overwrite is distinguishable from the intact old pair).
 func fenceFor(ver uint64) uint8 { return uint8(1 + ver&1) }
-
-type openBlock struct {
-	mn   int
-	idx  int
-	next int
-}
 
 // cacheEnt caches a key's slot location and per-replica copy
 // addresses. In-place replication makes this cache strong: word0 is
@@ -271,206 +106,40 @@ type cacheEnt struct {
 	class   int      // copy class size (bytes)
 }
 
+// complete reports whether the cache entry knows word0 for at least
+// every live replica position it will write.
+func (e *cacheEnt) complete(liveCount int) bool {
+	n := 0
+	for _, w := range e.words {
+		if w != 0 {
+			n++
+		}
+	}
+	return n >= liveCount && e.class > 0
+}
+
 // Client is a swarm-mode client.
 type Client struct {
-	cl  *Cluster
-	ctx rdma.Ctx
-	id  uint16
-
+	replica.Client
 	cache map[string]*cacheEnt
-	open  map[uint8][]*openBlock
-
-	// Stats for harnesses.
-	Stats struct {
-		Ops          uint64
-		CASIssued    uint64
-		CASRetries   uint64
-		ReadsIssued  uint64
-		WritesIssued uint64
-		BytesRead    uint64
-		BytesWritten uint64
-		ValidBytes   uint64
-	}
 }
 
-// Attach binds the client to its process context.
-func (c *Client) Attach(ctx rdma.Ctx) { c.ctx = ctx }
-
-// Counters returns the client's verb counts for harness accounting.
-func (c *Client) Counters() (cas, reads, writes uint64) {
-	return c.Stats.CASIssued, c.Stats.ReadsIssued, c.Stats.WritesIssued
+func newClient(base replica.Client) ftmode.Client {
+	return &Client{Client: base, cache: make(map[string]*cacheEnt)}
 }
 
-// Close is a no-op (interface parity with core's Client).
-func (c *Client) Close() {}
-
-// KillMN asks MN mn to fail-stop itself over the admin RPC.
-func (c *Client) KillMN(mn int) error {
-	if c.cl.Failed(mn) {
-		return rdma.ErrNodeFailed
-	}
-	resp, err := c.ctx.RPC(c.cl.nodes[mn], methodKill, nil)
-	if err != nil {
-		return err
-	}
-	if len(resp) < 1 || resp[0] != 0 {
-		return fmt.Errorf("swarm: kill rejected")
-	}
-	return nil
-}
-
-// noteErr records a node failure observed through err and reports
-// whether the caller should fail over.
-func (c *Client) noteErr(mn int, err error) bool {
-	if errors.Is(err, rdma.ErrNodeFailed) {
-		c.cl.markFailed(mn)
-		return true
-	}
-	return false
-}
-
-// refreshView probes every not-yet-failed MN after an ambiguous
-// batched-verb failure and marks the dead ones.
-func (c *Client) refreshView() {
-	var b [8]byte
-	for mn := 0; mn < c.cl.Cfg.NumMNs; mn++ {
-		if c.cl.Failed(mn) {
-			continue
-		}
-		c.Stats.ReadsIssued++
-		c.Stats.BytesRead += 8
-		if err := c.ctx.Read(b[:], rdma.GlobalAddr{Node: c.cl.nodes[mn]}); err != nil {
-			c.noteErr(mn, err)
-		}
-	}
-}
-
-// liveReplicas returns the surviving replica indices of partition p in
-// replica order (acting primary first).
-func (c *Client) liveReplicas(p int) []int {
-	cfg := &c.cl.Cfg
-	out := make([]int, 0, cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
-		if !c.cl.Failed(cfg.replicaMN(p, i)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func errAllReplicasFailed(p int) error {
-	return fmt.Errorf("swarm: all replicas of partition %d failed: %w", p, rdma.ErrNodeFailed)
-}
-
-// slotOff returns the offset of slot s of bucket b within a hosted
-// partition region (word0; word1 is at +8).
-func (c *Client) slotOff(region int, bucket uint64, s int) uint64 {
-	cfg := &c.cl.Cfg
-	return cfg.regionOff(region) + bucket*cfg.bucketBytes() + uint64(s*slotBytes)
-}
-
-// buckets returns the key's two candidate buckets.
-func (c *Client) buckets(h uint64) (uint64, uint64) {
-	return racehash.BucketPair(h, c.cl.Cfg.numBuckets())
-}
-
-// readBucketPair reads the key's two buckets from one replica of its
-// partition.
-func (c *Client) readBucketPair(p, replica int, b1, b2 uint64) ([]byte, []byte, error) {
-	cfg := &c.cl.Cfg
-	mn := cfg.replicaMN(p, replica)
-	region := cfg.hostedRegion(mn, p)
-	node := c.cl.nodes[mn]
-	bb := cfg.bucketBytes()
-	buf1 := make([]byte, bb)
-	buf2 := make([]byte, bb)
-	ops := []rdma.Op{
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b1, 0)}, Buf: buf1},
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: node, Off: c.slotOff(region, b2, 0)}, Buf: buf2},
-	}
-	c.Stats.ReadsIssued += 2
-	c.Stats.BytesRead += 2 * bb
-	if err := c.ctx.Batch(ops); err != nil {
-		if c.noteErr(mn, err) {
-			return nil, nil, err
-		}
-		return nil, nil, err
-	}
-	return buf1, buf2, nil
-}
-
-// scan finds fp matches in a bucket's raw bytes, returning slot
-// indices.
-func (c *Client) scan(fp uint8, buf []byte) []int {
-	var out []int
-	for s := 0; s < bucketSlots; s++ {
-		w := binary.LittleEndian.Uint64(buf[s*slotBytes:])
-		if w != 0 && slotFP(w) == fp {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// freeSlot finds the first empty slot (word0 == 0) in a bucket, or -1.
-func (c *Client) freeSlot(buf []byte) int {
-	for s := 0; s < bucketSlots; s++ {
-		if binary.LittleEndian.Uint64(buf[s*slotBytes:]) == 0 {
-			return s
-		}
-	}
-	return -1
-}
+var (
+	// errStaleCache sends a cached read down the search path.
+	errStaleCache = errors.New("swarm: stale cache")
+	// errConflict signals a lost insert race (retry with re-locate).
+	errConflict = errors.New("swarm: insert conflict")
+)
 
 // wordsOf extracts (word0, word1) of slot s from a raw bucket.
 func wordsOf(buf []byte, s int) (w0, w1 uint64) {
 	w0 = binary.LittleEndian.Uint64(buf[s*slotBytes:])
 	w1 = binary.LittleEndian.Uint64(buf[s*slotBytes+8:])
 	return
-}
-
-// readKVAt reads and decodes a KV copy (speculative size, clamped to
-// the block boundary; re-read at the true size when short).
-func (c *Client) readKVAt(packed uint64, size int) (*layout.KV, error) {
-	cfg := &c.cl.Cfg
-	mn, off := layout.UnpackAddr(packed)
-	base := cfg.blockOff(0)
-	if off >= base {
-		rel := (off - base) % cfg.BlockSize
-		if remain := int(cfg.BlockSize - rel); size > remain {
-			size = remain
-		}
-	}
-	if size < 64 {
-		size = 64
-	}
-	buf := make([]byte, size)
-	c.Stats.ReadsIssued++
-	c.Stats.BytesRead += uint64(size)
-	if err := c.ctx.Read(buf, rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}); err != nil {
-		c.noteErr(int(mn), err)
-		return nil, err
-	}
-	if buf[0] == 0 {
-		return nil, nil // never written
-	}
-	keyLen := int(binary.LittleEndian.Uint16(buf[2:]))
-	valLen := int(binary.LittleEndian.Uint32(buf[4:]))
-	real := layout.KVClassSize(keyLen, valLen)
-	if real > int(cfg.BlockSize) {
-		return nil, layout.ErrTornKV
-	}
-	if real <= size {
-		return layout.DecodeKV(buf[:real])
-	}
-	buf = make([]byte, real)
-	c.Stats.ReadsIssued++
-	c.Stats.BytesRead += uint64(real)
-	if err := c.ctx.Read(buf, rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}); err != nil {
-		c.noteErr(int(mn), err)
-		return nil, err
-	}
-	return layout.DecodeKV(buf)
 }
 
 // guessSize speculates the copy size for the first read of a key.
@@ -487,23 +156,24 @@ func (c *Client) guessSize(key []byte) int {
 // MN failure they fail over to a surviving replica.
 func (c *Client) Search(key []byte) ([]byte, error) {
 	c.Stats.Ops++
+	cfg := &c.Cl.Cfg
 	h := racehash.Hash(key)
-	p := racehash.HomeMN(h, c.cl.Cfg.NumMNs)
+	p := racehash.HomeMN(h, cfg.NumMNs)
 	fp := racehash.Fingerprint(h)
-	b1, b2 := c.buckets(h)
+	b1, b2 := c.Buckets(h)
 
-	if ent, ok := c.cache[string(key)]; ok && c.cl.Cfg.CacheValues {
-		if val, err := c.cachedRead(key, ent, p); err == nil || errors.Is(err, ErrNotFound) {
+	if ent, ok := c.cache[string(key)]; ok && cfg.CacheValues {
+		if val, err := c.cachedRead(key, ent, p); err == nil || errors.Is(err, replica.ErrNotFound) {
 			return val, err
 		}
 	}
-	for attempt := 0; attempt < maxOpRetries; attempt++ {
-		live := c.liveReplicas(p)
+	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
+		live := c.LiveReplicas(p)
 		if len(live) == 0 {
-			return nil, errAllReplicasFailed(p)
+			return nil, replica.ErrAllReplicasFailed(p)
 		}
 		ri := live[0]
-		buf1, buf2, err := c.readBucketPair(p, ri, b1, b2)
+		buf1, buf2, err := c.ReadBucketPair(p, ri, b1, b2)
 		if err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
 				continue // fail over to the next surviving replica
@@ -512,26 +182,22 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 		}
 		unstable := false
 		for bi, buf := range [][]byte{buf1, buf2} {
-			for _, s := range c.scan(fp, buf) {
+			bucket := b1
+			if bi == 1 {
+				bucket = b2
+			}
+			for _, s := range c.Scan(fp, buf) {
 				w0, w1 := wordsOf(buf, s)
-				bucket := b1
-				if bi == 1 {
-					bucket = b2
-				}
-				kv, err := c.readCopyFailover(p, bucket, s, w0, c.guessSize(key))
+				kv, err := c.ReadKVFailover(p, bucket, s, w0, c.guessSize(key))
 				if err != nil {
 					if errors.Is(err, layout.ErrTornKV) {
 						unstable = true
 					}
 					continue
 				}
-				if kv == nil {
-					// Insert in flight: word0 committed paths write
-					// copies first, so an empty copy means a torn
-					// state worth one retry.
-					continue
-				}
-				if !bytes.Equal(kv.Key, key) {
+				// An empty copy is an insert in flight (word0-committed
+				// paths write copies first).
+				if kv == nil || !bytes.Equal(kv.Key, key) {
 					continue
 				}
 				if kv.SlotVersion < w1 {
@@ -540,56 +206,25 @@ func (c *Client) Search(key []byte) ([]byte, error) {
 					unstable = true
 					continue
 				}
-				if ri == 0 && c.cl.Cfg.CacheValues {
-					words := make([]uint64, c.cl.Cfg.Replicas)
+				if ri == 0 && cfg.CacheValues {
+					words := make([]uint64, cfg.Replicas)
 					words[0] = w0
 					c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: s,
 						words: words, class: layout.KVClassSize(len(kv.Key), len(kv.Val))}
 				}
 				if kv.Tombstone {
-					return nil, ErrNotFound
+					return nil, replica.ErrNotFound
 				}
 				return append([]byte(nil), kv.Val...), nil
 			}
 		}
 		if unstable {
-			c.backoff(attempt)
+			c.Backoff(attempt)
 			continue
 		}
-		return nil, ErrNotFound
+		return nil, replica.ErrNotFound
 	}
-	return nil, ErrRetriesExhausted
-}
-
-// readCopyFailover reads the copy word0 points at; when that copy's MN
-// has failed it chases the surviving replicas' word0s for the same
-// slot and reads their copies instead.
-func (c *Client) readCopyFailover(p int, bucket uint64, s int, w0 uint64, size int) (*layout.KV, error) {
-	kv, err := c.readKVAt(slotAddr(w0), size)
-	if err == nil || !errors.Is(err, rdma.ErrNodeFailed) {
-		return kv, err
-	}
-	cfg := &c.cl.Cfg
-	for _, ri := range c.liveReplicas(p) {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		var wb [8]byte
-		c.Stats.ReadsIssued++
-		c.Stats.BytesRead += 8
-		if rerr := c.ctx.Read(wb[:], rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, s)}); rerr != nil {
-			c.noteErr(mn, rerr)
-			continue
-		}
-		rw := binary.LittleEndian.Uint64(wb[:])
-		if rw == 0 || slotFP(rw) != slotFP(w0) {
-			continue
-		}
-		kv, err = c.readKVAt(slotAddr(rw), size)
-		if err == nil {
-			return kv, nil
-		}
-	}
-	return nil, err
+	return nil, replica.ErrRetriesExhausted
 }
 
 // cachedRead validates a cache hit with one batched round trip: the
@@ -597,60 +232,48 @@ func (c *Client) readCopyFailover(p int, bucket uint64, s int, w0 uint64, size i
 // copy read — the in-place design's read-path win over FUSEE's full
 // bucket re-walk.
 func (c *Client) cachedRead(key []byte, ent *cacheEnt, p int) ([]byte, error) {
-	cfg := &c.cl.Cfg
-	mn := cfg.replicaMN(p, 0)
-	if ent.words[0] == 0 || c.cl.Failed(mn) {
-		return nil, errors.New("swarm: stale cache")
+	if ent.words[0] == 0 || c.Cl.Failed(c.Cl.Cfg.ReplicaMN(p, 0)) {
+		return nil, errStaleCache
 	}
-	kmn, koff := layout.UnpackAddr(slotAddr(ent.words[0]))
-	if c.cl.Failed(int(kmn)) {
-		return nil, errors.New("swarm: stale cache")
+	kmn, kvAddr := c.KVAddr(replica.SlotAddr(ent.words[0]))
+	if c.Cl.Failed(kmn) {
+		return nil, errStaleCache
 	}
-	region := cfg.hostedRegion(mn, p)
+	_, slotAddr := c.SlotAt(p, 0, ent.bucket, ent.slotIdx)
 	slotBuf := make([]byte, slotBytes)
 	kvBuf := make([]byte, ent.class)
 	ops := []rdma.Op{
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, ent.bucket, ent.slotIdx)}, Buf: slotBuf},
-		{Kind: rdma.OpRead, Addr: rdma.GlobalAddr{Node: c.cl.nodes[kmn], Off: koff}, Buf: kvBuf},
+		{Kind: rdma.OpRead, Addr: slotAddr, Buf: slotBuf},
+		{Kind: rdma.OpRead, Addr: kvAddr, Buf: kvBuf},
 	}
 	c.Stats.ReadsIssued += 2
 	c.Stats.BytesRead += uint64(slotBytes + ent.class)
-	if err := c.ctx.Batch(ops); err != nil {
+	if err := c.Ctx.Batch(ops); err != nil {
 		return nil, err
 	}
-	w0 := binary.LittleEndian.Uint64(slotBuf)
-	w1 := binary.LittleEndian.Uint64(slotBuf[8:])
+	w0, w1 := wordsOf(slotBuf, 0)
 	if w0 != ent.words[0] {
-		return nil, errors.New("swarm: stale cache") // reallocated
+		return nil, errStaleCache // reallocated
 	}
 	// Decode at the header's true class: an in-place shrink leaves the
 	// new trailing fence before the end of the cached class size.
 	if kvBuf[0] == 0 {
-		return nil, errors.New("swarm: stale cache")
+		return nil, errStaleCache
 	}
 	keyLen := int(binary.LittleEndian.Uint16(kvBuf[2:]))
 	valLen := int(binary.LittleEndian.Uint32(kvBuf[4:]))
 	real := layout.KVClassSize(keyLen, valLen)
 	if real > len(kvBuf) {
-		return nil, errors.New("swarm: stale cache") // grew past the class
+		return nil, errStaleCache // grew past the class
 	}
 	kv, err := layout.DecodeKV(kvBuf[:real])
 	if err != nil || kv == nil || !bytes.Equal(kv.Key, key) || kv.SlotVersion < w1 {
-		return nil, errors.New("swarm: stale cache") // writer in flight
+		return nil, errStaleCache // writer in flight
 	}
 	if kv.Tombstone {
-		return nil, ErrNotFound
+		return nil, replica.ErrNotFound
 	}
 	return append([]byte(nil), kv.Val...), nil
-}
-
-// backoff sleeps a bounded, client-salted exponential delay.
-func (c *Client) backoff(attempt int) {
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	c.ctx.Sleep(time.Duration(1+int(c.id)%4) * time.Microsecond << shift)
 }
 
 // Insert stores a key-value pair (upsert).
@@ -669,16 +292,16 @@ func (c *Client) Delete(key []byte) error { return c.write(key, nil, true) }
 // overwrites.
 func (c *Client) write(key, val []byte, tombstone bool) error {
 	c.Stats.Ops++
+	cfg := &c.Cl.Cfg
 	h := racehash.Hash(key)
-	p := racehash.HomeMN(h, c.cl.Cfg.NumMNs)
+	p := racehash.HomeMN(h, cfg.NumMNs)
 	fp := racehash.Fingerprint(h)
-	b1, b2 := c.buckets(h)
-	cfg := &c.cl.Cfg
+	b1, b2 := c.Buckets(h)
 
-	for attempt := 0; attempt < maxOpRetries; attempt++ {
-		live := c.liveReplicas(p)
+	for attempt := 0; attempt < replica.MaxOpRetries; attempt++ {
+		live := c.LiveReplicas(p)
 		if len(live) == 0 {
-			return errAllReplicasFailed(p)
+			return replica.ErrAllReplicasFailed(p)
 		}
 		acting := live[0]
 
@@ -697,13 +320,13 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			words = append([]uint64(nil), ent.words...)
 			// The version word still must be read fresh: CAS below
 			// needs the current value.
-			mn := cfg.replicaMN(p, 0)
-			region := cfg.hostedRegion(mn, p)
+			mn, verAddr := c.SlotAt(p, 0, bucket, slotIdx)
+			verAddr.Off += 8
 			var vb [8]byte
 			c.Stats.ReadsIssued++
 			c.Stats.BytesRead += 8
-			if err := c.ctx.Read(vb[:], rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8}); err != nil {
-				if c.noteErr(mn, err) {
+			if err := c.Ctx.Read(vb[:], verAddr); err != nil {
+				if c.NoteErr(mn, err) {
 					continue
 				}
 				return err
@@ -715,13 +338,13 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			bucket, slotIdx, ver, words, class, found, err = c.locate(key, p, acting, fp, b1, b2, h, tombstone)
 			if err != nil {
 				if errors.Is(err, rdma.ErrNodeFailed) {
-					c.refreshView()
+					c.RefreshView()
 					continue
 				}
 				return err
 			}
 			if tombstone && !found {
-				return ErrNotFound
+				return replica.ErrNotFound
 			}
 		}
 
@@ -733,13 +356,13 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 				return nil
 			}
 			if errors.Is(err, rdma.ErrNodeFailed) {
-				c.refreshView()
+				c.RefreshView()
 				continue
 			}
 			if errors.Is(err, errConflict) {
 				c.Stats.CASRetries++
 				delete(c.cache, string(key))
-				c.backoff(attempt)
+				c.Backoff(attempt)
 				continue
 			}
 			return err
@@ -747,13 +370,12 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 
 		// In-place update: one CAS on the acting primary's version
 		// word serializes writers...
-		mn := cfg.replicaMN(p, acting)
-		region := cfg.hostedRegion(mn, p)
-		verAddr := rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8}
+		mn, verAddr := c.SlotAt(p, acting, bucket, slotIdx)
+		verAddr.Off += 8
 		c.Stats.CASIssued++
-		prev, err := c.ctx.CAS(verAddr, ver, ver+1)
+		prev, err := c.Ctx.CAS(verAddr, ver, ver+1)
 		if err != nil {
-			if c.noteErr(mn, err) {
+			if c.NoteErr(mn, err) {
 				continue
 			}
 			return err
@@ -761,7 +383,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		if prev != ver {
 			c.Stats.CASRetries++
 			delete(c.cache, string(key))
-			c.backoff(attempt)
+			c.Backoff(attempt)
 			continue
 		}
 		// ...then one doorbell batch lands every copy in place (plus
@@ -771,7 +393,7 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		// batch (word0 rewrite is safe: the version CAS is the lock).
 		if err := c.landCopies(key, val, tombstone, p, fp, bucket, slotIdx, ver+1, size, class, words, live); err != nil {
 			if errors.Is(err, rdma.ErrNodeFailed) {
-				c.refreshView()
+				c.RefreshView()
 				delete(c.cache, string(key))
 				continue
 			}
@@ -779,42 +401,27 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		return nil
 	}
-	return ErrRetriesExhausted
+	return replica.ErrRetriesExhausted
 }
-
-// complete reports whether the cache entry knows word0 for at least
-// every live replica position it will write.
-func (e *cacheEnt) complete(liveCount int) bool {
-	n := 0
-	for _, w := range e.words {
-		if w != 0 {
-			n++
-		}
-	}
-	return n >= liveCount && e.class > 0
-}
-
-// errConflict signals a lost insert race (retry with re-locate).
-var errConflict = errors.New("swarm: insert conflict")
 
 // locate walks the buckets from the acting replica and returns the
 // key's slot (or a free slot), the current version word, the
 // per-replica word0s of the slot, and the existing copy class.
 func (c *Client) locate(key []byte, p, acting int, fp uint8, b1, b2, h uint64, tombstone bool) (bucket uint64, slotIdx int, ver uint64, words []uint64, class int, found bool, err error) {
-	cfg := &c.cl.Cfg
-	words = make([]uint64, cfg.Replicas)
-	buf1, buf2, err := c.readBucketPair(p, acting, b1, b2)
+	words = make([]uint64, c.Cl.Cfg.Replicas)
+	buf1, buf2, err := c.ReadBucketPair(p, acting, b1, b2)
 	if err != nil {
 		return 0, 0, 0, nil, 0, false, err
 	}
+scan:
 	for bi, buf := range [][]byte{buf1, buf2} {
 		bkt := b1
 		if bi == 1 {
 			bkt = b2
 		}
-		for _, s := range c.scan(fp, buf) {
+		for _, s := range c.Scan(fp, buf) {
 			w0, w1 := wordsOf(buf, s)
-			kv, kerr := c.readCopyFailover(p, bkt, s, w0, c.guessSize(key))
+			kv, kerr := c.ReadKVFailover(p, bkt, s, w0, c.guessSize(key))
 			if kerr != nil || kv == nil || !bytes.Equal(kv.Key, key) {
 				continue
 			}
@@ -828,54 +435,27 @@ func (c *Client) locate(key []byte, p, acting int, fp uint8, b1, b2, h uint64, t
 				class = layout.KVClassSize(len(kv.Key), 0)
 			}
 			found = true
-			break
-		}
-		if found {
-			break
+			break scan
 		}
 	}
 	if !found {
 		if tombstone {
 			return 0, 0, 0, words, 0, false, nil
 		}
-		fBuf, sBuf, fB, sB := buf1, buf2, b1, b2
-		if h>>32&1 == 1 {
-			fBuf, sBuf, fB, sB = buf2, buf1, b2, b1
-		}
-		if s := c.freeSlot(fBuf); s >= 0 {
-			bucket, slotIdx = fB, s
-		} else if s := c.freeSlot(sBuf); s >= 0 {
-			bucket, slotIdx = sB, s
-		} else {
-			return 0, 0, 0, nil, 0, false, fmt.Errorf("swarm: buckets full for key %q", key)
+		if bucket, slotIdx, err = c.FreeSlot(h, buf1, buf2, b1, b2); err != nil {
+			return 0, 0, 0, nil, 0, false, err
 		}
 		return bucket, slotIdx, 0, words, 0, false, nil
 	}
 	// Read the other surviving replicas' word0s for the slot.
-	live := c.liveReplicas(p)
-	var ops []rdma.Op
-	bufs := map[int][]byte{}
-	for _, ri := range live {
-		if ri == acting {
-			continue
+	var others []int
+	for _, ri := range c.LiveReplicas(p) {
+		if ri != acting {
+			others = append(others, ri)
 		}
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		buf := make([]byte, 8)
-		bufs[ri] = buf
-		ops = append(ops, rdma.Op{Kind: rdma.OpRead,
-			Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-			Buf:  buf})
 	}
-	if len(ops) > 0 {
-		c.Stats.ReadsIssued += uint64(len(ops))
-		c.Stats.BytesRead += uint64(len(ops) * 8)
-		if err := c.ctx.Batch(ops); err != nil {
-			return 0, 0, 0, nil, 0, false, err
-		}
-		for ri, buf := range bufs {
-			words[ri] = binary.LittleEndian.Uint64(buf)
-		}
+	if err := c.ReadSlotWords(p, others, bucket, slotIdx, words); err != nil {
+		return 0, 0, 0, nil, 0, false, err
 	}
 	return bucket, slotIdx, ver, words, class, true, nil
 }
@@ -886,79 +466,52 @@ func (c *Client) locate(key []byte, p, acting int, fp uint8, b1, b2, h uint64, t
 // backups and finally the acting primary — the FUSEE-style insert-race
 // commit.
 func (c *Client) insertSlot(key, val []byte, tombstone bool, p int, fp uint8, bucket uint64, slotIdx, size int, live []int) error {
-	cfg := &c.cl.Cfg
-	classUnits := uint8(size / 64)
+	cfg := &c.Cl.Cfg
 
 	// Read the backup replicas' current word0s first: a lost insert
 	// race can leave a loser's word on a backup, and the CAS below
 	// must swing from whatever is there (as FUSEE's conflict
 	// resolution does), not assume zero.
-	backupOld := map[int]uint64{}
-	if len(live) > 1 {
-		var ops []rdma.Op
-		bufs := map[int][]byte{}
-		for _, ri := range live[1:] {
-			mn := cfg.replicaMN(p, ri)
-			region := cfg.hostedRegion(mn, p)
-			buf := make([]byte, 8)
-			bufs[ri] = buf
-			ops = append(ops, rdma.Op{Kind: rdma.OpRead,
-				Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-				Buf:  buf})
-		}
-		c.Stats.ReadsIssued += uint64(len(ops))
-		c.Stats.BytesRead += uint64(len(ops) * 8)
-		if err := c.ctx.Batch(ops); err != nil {
-			return err
-		}
-		for ri, buf := range bufs {
-			backupOld[ri] = binary.LittleEndian.Uint64(buf)
-		}
+	backupOld := make([]uint64, cfg.Replicas)
+	if err := c.ReadSlotWords(p, live[1:], bucket, slotIdx, backupOld); err != nil {
+		return err
 	}
 
-	addrs, ops, err := c.placeCopies(key, val, tombstone, classUnits, 1, len(live))
+	kvBuf := make([]byte, size)
+	layout.EncodeKV(kvBuf, key, val, 1, fenceFor(1), tombstone)
+	addrs, ops, err := c.PlaceCopies(kvBuf, len(live))
 	if err != nil {
 		return err
 	}
 	// Backup version words ride the copy batch (same value on every
 	// inserter: 1).
 	for _, ri := range live[1:] {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		vb := make([]byte, 8)
-		binary.LittleEndian.PutUint64(vb, 1)
-		ops = append(ops, rdma.Op{Kind: rdma.OpWrite,
-			Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8},
-			Buf:  vb})
-		c.Stats.WritesIssued++
-		c.Stats.BytesWritten += 8
+		ops = append(ops, c.slotWordWrite(p, ri, bucket, slotIdx, 8, 1))
 	}
-	if err := c.ctx.Batch(ops); err != nil {
-		delete(c.open, classUnits)
+	if err := c.Ctx.Batch(ops); err != nil {
+		c.DropBlocks(size)
 		return err
 	}
 	// Word0 CAS rounds: backups first, acting primary commits.
 	newWords := make([]uint64, cfg.Replicas)
 	for i, ri := range live {
-		newWords[ri] = slotWord(fp, addrs[i])
+		newWords[ri] = replica.PackSlot(fp, addrs[i])
 	}
 	for _, ri := range live[1:] {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
+		mn, addr := c.SlotAt(p, ri, bucket, slotIdx)
 		c.Stats.CASIssued++
-		prev, err := c.ctx.CAS(rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)}, backupOld[ri], newWords[ri])
+		prev, err := c.Ctx.CAS(addr, backupOld[ri], newWords[ri])
 		if err != nil {
-			c.noteErr(mn, err)
+			c.NoteErr(mn, err)
 			return err
 		}
 		if prev != backupOld[ri] {
 			return errConflict
 		}
 	}
-	mn := cfg.replicaMN(p, live[0])
-	region := cfg.hostedRegion(mn, p)
+	_, addr := c.SlotAt(p, live[0], bucket, slotIdx)
 	c.Stats.CASIssued++
-	prev, err := c.ctx.CAS(rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)}, 0, newWords[live[0]])
+	prev, err := c.Ctx.CAS(addr, 0, newWords[live[0]])
 	if err != nil {
 		return err
 	}
@@ -972,166 +525,70 @@ func (c *Client) insertSlot(key, val []byte, tombstone bool, p int, fp uint8, bu
 	return nil
 }
 
+// slotWordWrite returns the (counted) write of v into the 8-byte word
+// at byte off of slot (bucket, slotIdx) on replica ri: 0 is word0, 8
+// the version word.
+func (c *Client) slotWordWrite(p, ri int, bucket uint64, slotIdx, off int, v uint64) rdma.Op {
+	_, addr := c.SlotAt(p, ri, bucket, slotIdx)
+	addr.Off += uint64(off)
+	buf := make([]byte, 8)
+	binary.LittleEndian.PutUint64(buf, v)
+	c.Stats.WritesIssued++
+	c.Stats.BytesWritten += 8
+	return rdma.Op{Kind: rdma.OpWrite, Addr: addr, Buf: buf}
+}
+
 // landCopies performs the in-place replicated write: one batch of copy
 // overwrites stamped ver, backup version words, and word0 rewrites for
 // any copy that had to move (class growth or a dead MN). The acting
 // primary's version CAS (already done by the caller) is the lock that
 // makes the plain writes safe.
 func (c *Client) landCopies(key, val []byte, tombstone bool, p int, fp uint8, bucket uint64, slotIdx int, ver uint64, size, class int, words []uint64, live []int) error {
-	cfg := &c.cl.Cfg
-	fence := fenceFor(ver)
+	cfg := &c.Cl.Cfg
 
-	// Which live replicas can be written in place?
-	inPlace := make(map[int]uint64) // replica → packed copy addr
-	var moved []int
-	for _, ri := range live {
-		w0 := words[ri]
-		kmn, _ := layout.UnpackAddr(slotAddr(w0))
-		if w0 != 0 && slotFP(w0) == fp && size <= class && !c.cl.Failed(int(kmn)) {
-			inPlace[ri] = slotAddr(w0)
-		} else {
-			moved = append(moved, ri)
-		}
-	}
 	// Copies are always encoded at the pair's true class size: readers
 	// recompute it from the header, so a shrinking overwrite inside a
 	// larger slot stays self-describing (bytes past the new trailing
 	// fence are never decoded).
 	buf := make([]byte, size)
-	layout.EncodeKV(buf, key, val, ver, fence, tombstone)
+	layout.EncodeKV(buf, key, val, ver, fenceFor(ver), tombstone)
 
+	// Live replicas whose copy can be overwritten in place write there;
+	// the rest move to fresh blocks.
 	var ops []rdma.Op
-	newWords := append([]uint64(nil), words...)
+	var moved []int
 	for _, ri := range live {
-		if addr, ok := inPlace[ri]; ok {
-			mn, off := layout.UnpackAddr(addr)
-			ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: off}, Buf: buf})
+		w0 := words[ri]
+		kmn, addr := c.KVAddr(replica.SlotAddr(w0))
+		if w0 != 0 && replica.SlotFP(w0) == fp && size <= class && !c.Cl.Failed(kmn) {
+			ops = append(ops, rdma.Op{Kind: rdma.OpWrite, Addr: addr, Buf: buf})
 			c.Stats.WritesIssued++
 			c.Stats.BytesWritten += uint64(size)
+		} else {
+			moved = append(moved, ri)
 		}
 	}
+	newWords := append([]uint64(nil), words...)
 	if len(moved) > 0 {
-		classUnits := uint8(size / 64)
-		addrs, placeOps, err := c.placeCopies(key, val, tombstone, classUnits, ver, len(moved))
+		addrs, placeOps, err := c.PlaceCopies(buf, len(moved))
 		if err != nil {
 			return err
 		}
 		ops = append(ops, placeOps...)
 		for i, ri := range moved {
-			newWords[ri] = slotWord(fp, addrs[i])
-			mn := cfg.replicaMN(p, ri)
-			region := cfg.hostedRegion(mn, p)
-			wb := make([]byte, 8)
-			binary.LittleEndian.PutUint64(wb, newWords[ri])
-			ops = append(ops, rdma.Op{Kind: rdma.OpWrite,
-				Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx)},
-				Buf:  wb})
-			c.Stats.WritesIssued++
-			c.Stats.BytesWritten += 8
+			newWords[ri] = replica.PackSlot(fp, addrs[i])
+			ops = append(ops, c.slotWordWrite(p, ri, bucket, slotIdx, 0, newWords[ri]))
 		}
 	}
 	// Backup version words (the acting primary's was set by the CAS).
 	for _, ri := range live[1:] {
-		mn := cfg.replicaMN(p, ri)
-		region := cfg.hostedRegion(mn, p)
-		vb := make([]byte, 8)
-		binary.LittleEndian.PutUint64(vb, ver)
-		ops = append(ops, rdma.Op{Kind: rdma.OpWrite,
-			Addr: rdma.GlobalAddr{Node: c.cl.nodes[mn], Off: c.slotOff(region, bucket, slotIdx) + 8},
-			Buf:  vb})
-		c.Stats.WritesIssued++
-		c.Stats.BytesWritten += 8
+		ops = append(ops, c.slotWordWrite(p, ri, bucket, slotIdx, 8, ver))
 	}
-	if err := c.ctx.Batch(ops); err != nil {
+	if err := c.Ctx.Batch(ops); err != nil {
 		return err
 	}
 	if cfg.CacheValues && live[0] == 0 {
-		cls := class
-		if size > cls {
-			cls = size
-		}
-		c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: slotIdx, words: newWords, class: cls}
+		c.cache[string(key)] = &cacheEnt{bucket: bucket, slotIdx: slotIdx, words: newWords, class: max(class, size)}
 	}
 	return nil
-}
-
-// placeCopies encodes the KV once and prepares n copy writes into open
-// blocks on distinct live MNs, returning the packed addresses and the
-// write ops (the caller batches them with its slot-word writes).
-func (c *Client) placeCopies(key, val []byte, tombstone bool, classUnits uint8, ver uint64, n int) ([]uint64, []rdma.Op, error) {
-	cfg := &c.cl.Cfg
-	obs, err := c.getBlocks(classUnits, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	size := int(classUnits) * 64
-	buf := make([]byte, size)
-	layout.EncodeKV(buf, key, val, ver, fenceFor(ver), tombstone)
-	addrs := make([]uint64, n)
-	ops := make([]rdma.Op, n)
-	for i := 0; i < n; i++ {
-		ob := obs[i]
-		off := cfg.blockOff(ob.idx) + uint64(ob.next*size)
-		ob.next++
-		addrs[i] = layout.PackAddr(uint16(ob.mn), off)
-		ops[i] = rdma.Op{Kind: rdma.OpWrite, Addr: rdma.GlobalAddr{Node: c.cl.nodes[ob.mn], Off: off}, Buf: buf}
-	}
-	c.Stats.WritesIssued += uint64(n)
-	c.Stats.BytesWritten += uint64(n * size)
-	full := false
-	for _, ob := range obs {
-		if (ob.next+1)*size > int(cfg.BlockSize) {
-			full = true
-		}
-	}
-	if full {
-		delete(c.open, classUnits)
-	}
-	return addrs, ops, nil
-}
-
-// getBlocks returns (allocating if needed) at least n open blocks for
-// a size class on distinct live MNs (relaxing distinctness when
-// failures leave fewer live MNs than replicas).
-func (c *Client) getBlocks(classUnits uint8, n int) ([]*openBlock, error) {
-	if obs, ok := c.open[classUnits]; ok && len(obs) >= n {
-		return obs, nil
-	}
-	cfg := &c.cl.Cfg
-	base := int(c.id)
-	var req [2]byte
-	binary.LittleEndian.PutUint16(req[:], c.id)
-	obs := make([]*openBlock, 0, n)
-	used := map[int]bool{}
-	for i := 0; i < n; i++ {
-		allocated := false
-		for _, distinct := range []bool{true, false} {
-			for try := 0; try < cfg.NumMNs && !allocated; try++ {
-				mn := (base + i + try) % cfg.NumMNs
-				if (distinct && used[mn]) || c.cl.Failed(mn) {
-					continue
-				}
-				resp, err := c.ctx.RPC(c.cl.nodes[mn], methodAlloc, req[:])
-				if err != nil {
-					c.noteErr(mn, err)
-					continue
-				}
-				if len(resp) == 0 || resp[0] != 0 {
-					continue
-				}
-				idx := int(binary.LittleEndian.Uint32(resp[1:]))
-				obs = append(obs, &openBlock{mn: mn, idx: idx})
-				used[mn] = true
-				allocated = true
-			}
-			if allocated {
-				break
-			}
-		}
-		if !allocated {
-			return nil, ErrNoSpace
-		}
-	}
-	c.open[classUnits] = obs
-	return obs, nil
 }

@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/ftmode"
 	"repro/internal/rdma/simnet"
+	"repro/internal/replica"
 )
 
 type testCluster struct {
 	pl *simnet.Platform
-	cl *Cluster
+	cl *replica.Cluster
 }
 
 func newTestCluster(t *testing.T, mutate func(*Config)) *testCluster {
@@ -40,8 +41,8 @@ func (tc *testCluster) runClients(t *testing.T, deadline time.Duration, fns ...f
 	for i, fn := range fns {
 		fn := fn
 		cn := tc.pl.AddComputeNode()
-		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c *Client) {
-			fn(c)
+		tc.cl.SpawnClient(cn, fmt.Sprintf("client%d", i), func(c ftmode.Client) {
+			fn(c.(*Client))
 			done++
 		})
 	}
@@ -98,7 +99,7 @@ func TestCRUD(t *testing.T) {
 		for i := 0; i < n; i++ {
 			got, err := c.Search(key(i))
 			if i%2 == 0 {
-				if !errors.Is(err, ErrNotFound) {
+				if !errors.Is(err, replica.ErrNotFound) {
 					t.Errorf("deleted key %d: got %q, err %v", i, got, err)
 					return
 				}
@@ -110,18 +111,6 @@ func TestCRUD(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestErrorsWrapCore(t *testing.T) {
-	if !errors.Is(ErrNotFound, core.ErrNotFound) {
-		t.Error("ErrNotFound does not wrap core.ErrNotFound")
-	}
-	if !errors.Is(ErrNoSpace, core.ErrNoSpace) {
-		t.Error("ErrNoSpace does not wrap core.ErrNoSpace")
-	}
-	if !errors.Is(ErrRetriesExhausted, core.ErrRetriesExhausted) {
-		t.Error("ErrRetriesExhausted does not wrap core.ErrRetriesExhausted")
-	}
 }
 
 // TestInPlaceUpdateCost pins the mode's claim: a warm update issues
@@ -189,7 +178,7 @@ func TestValueSizeChange(t *testing.T) {
 		}
 		// A second client with no cache must read the shrunk value too.
 		c2 := tc.cl.NewClient()
-		c2.Attach(c.ctx)
+		c2.Attach(c.Ctx)
 		if got, err := c2.Search(key(1)); err != nil || !bytes.Equal(got, small) {
 			t.Errorf("cold search after shrink: err %v val %q", err, got)
 		}
