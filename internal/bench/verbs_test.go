@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rdma"
 	"repro/internal/workload"
@@ -13,32 +14,84 @@ import (
 // TestScriptedVerbCounts runs a hand-scripted Insert/Search sequence on
 // the deterministic fabric and checks the instrumented verb counters
 // against exact expectations: the counts are what the paper's cost
-// model predicts, not merely close to it.
+// model predicts, not merely close to it. The paper's two-phase shape
+// is pinned with FusedCommit off, and the fused shape under the
+// default config.
 func TestScriptedVerbCounts(t *testing.T) {
-	o := Options{Clients: 1, CNs: 1, OpsPerClient: 20, KVSize: 128}
-	r, err := newAcesoRun(o, acesoConfig(o, 100, nil))
+	const n = 20
+	paper := scriptedVerbSegments(t, n, func(cfg *core.Config) { cfg.FusedCommit = false })
+
+	// INSERT of a fresh key: bucket-pair batch (2 reads), {KV, 2
+	// deltas} batch (3 writes), commit CAS, Meta-hint repair post (1
+	// write). Doorbells: 2 batches + CAS + post = 4.
+	checkInsertVerbs(t, "two-phase", paper["insert"], n, 4)
+
+	// SEARCH of a just-written key hits the slot-address cache: one
+	// {KV, slot-Atomic} validation batch (2 reads, 1 doorbell) and
+	// nothing else.
+	sea := paper["search"]
+	if got := sea.OpCount(rdma.OpRead); got != 2*n {
+		t.Errorf("search reads = %d, want %d", got, 2*n)
+	}
+	if got := sea.OpCount(rdma.OpWrite) + sea.OpCount(rdma.OpCAS); got != 0 {
+		t.Errorf("cache-hit search issued %d writes/CAS, want 0", got)
+	}
+	if got := sea.Doorbells(); got != n {
+		t.Errorf("search doorbells = %d, want %d", got, n)
+	}
+	if got := sea.Calls[obs.CallBatch].Count; got != n {
+		t.Errorf("search batch calls = %d, want %d", got, n)
+	}
+
+	// Default config: the commit CAS rides the {KV, deltas} batch, so
+	// the same verbs take 3 doorbells — bucket batch, fused batch and
+	// the Meta-hint post.
+	fused := scriptedVerbSegments(t, n, nil)
+	checkInsertVerbs(t, "fused", fused["insert"], n, 3)
+}
+
+// checkInsertVerbs asserts the per-INSERT verb mix of a fresh-key
+// segment: 2 reads, 4 writes and 1 CAS per op in either shape, and
+// the given doorbells per op.
+func checkInsertVerbs(t *testing.T, shape string, d obs.FabricSnapshot, n, doorbells int) {
+	t.Helper()
+	if got := d.OpCount(rdma.OpRead); got != uint64(2*n) {
+		t.Errorf("%s insert reads = %d, want %d", shape, got, 2*n)
+	}
+	if got := d.OpCount(rdma.OpWrite); got != uint64(4*n) {
+		t.Errorf("%s insert writes = %d, want %d", shape, got, 4*n)
+	}
+	if got := d.OpCount(rdma.OpCAS); got != uint64(n) {
+		t.Errorf("%s insert CAS = %d, want %d", shape, got, n)
+	}
+	if got := d.Doorbells(); got != uint64(doorbells*n) {
+		t.Errorf("%s insert doorbells = %d, want %d", shape, got, doorbells*n)
+	}
+}
+
+// scriptedVerbSegments inserts then searches n fresh keys with one
+// client and returns the fabric counters of each segment by name.
+func scriptedVerbSegments(t *testing.T, n int, mutate func(*core.Config)) map[string]obs.FabricSnapshot {
+	t.Helper()
+	o := Options{Clients: 1, CNs: 1, OpsPerClient: n, KVSize: 128}
+	r, err := newAcesoRun(o, acesoConfig(o, 100, mutate))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.shutdown()
 
-	const n = 20
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = workload.MicroKey(0, uint64(i))
 	}
-	type segDelta struct {
-		name string
-		d    obs.FabricSnapshot
-	}
-	var segs []segDelta
+	segs := make(map[string]obs.FabricSnapshot)
 	var opErr error
 	done := false
 	r.spawn(0, "scripted", func(c kvClient) {
 		defer func() { done = true }()
 		// Open the DATA/DELTA blocks first so allocation RPCs and
 		// reused-block reads stay out of the counted segments.
-		wk := workload.MicroKey(0, n)
+		wk := workload.MicroKey(0, uint64(n))
 		if opErr = c.Insert(wk, workload.Value(wk, o.KVSize)); opErr != nil {
 			return
 		}
@@ -53,7 +106,7 @@ func TestScriptedVerbCounts(t *testing.T) {
 					return
 				}
 			}
-			segs = append(segs, segDelta{name, r.fm.Snapshot().Sub(before)})
+			segs[name] = r.fm.Snapshot().Sub(before)
 		}
 		seg("insert", func(k []byte) error { return c.Insert(k, workload.Value(k, o.KVSize)) })
 		seg("search", func(k []byte) error { _, err := c.Search(k); return err })
@@ -72,40 +125,7 @@ func TestScriptedVerbCounts(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("got %d segments, want 2", len(segs))
 	}
-
-	// INSERT of a fresh key: bucket-pair batch (2 reads), {KV, 2
-	// deltas} batch (3 writes), commit CAS, Meta-hint repair post (1
-	// write). Doorbells: 2 batches + CAS + post = 4.
-	ins := segs[0].d
-	if got := ins.OpCount(rdma.OpRead); got != 2*n {
-		t.Errorf("insert reads = %d, want %d", got, 2*n)
-	}
-	if got := ins.OpCount(rdma.OpWrite); got != 4*n {
-		t.Errorf("insert writes = %d, want %d", got, 4*n)
-	}
-	if got := ins.OpCount(rdma.OpCAS); got != n {
-		t.Errorf("insert CAS = %d, want %d", got, n)
-	}
-	if got := ins.Doorbells(); got != 4*n {
-		t.Errorf("insert doorbells = %d, want %d", got, 4*n)
-	}
-
-	// SEARCH of a just-written key hits the slot-address cache: one
-	// {KV, slot-Atomic} validation batch (2 reads, 1 doorbell) and
-	// nothing else.
-	sea := segs[1].d
-	if got := sea.OpCount(rdma.OpRead); got != 2*n {
-		t.Errorf("search reads = %d, want %d", got, 2*n)
-	}
-	if got := sea.OpCount(rdma.OpWrite) + sea.OpCount(rdma.OpCAS); got != 0 {
-		t.Errorf("cache-hit search issued %d writes/CAS, want 0", got)
-	}
-	if got := sea.Doorbells(); got != n {
-		t.Errorf("search doorbells = %d, want %d", got, n)
-	}
-	if got := sea.Calls[obs.CallBatch].Count; got != n {
-		t.Errorf("search batch calls = %d, want %d", got, n)
-	}
+	return segs
 }
 
 // TestVerbsExperimentWithinTolerance runs the registered "verbs"

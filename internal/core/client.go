@@ -1054,7 +1054,6 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		verNew := uint8(1)
 		epochKV := uint64(0)
 		var lockedVal uint64 // non-zero when we hold the Meta lock
-		rollover := false
 		metaAddr, _ := c.cl.Addr(mn, slotOff+layout.SlotMetaOff)
 		if found {
 			if metaOld.Locked() {
@@ -1087,7 +1086,6 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 			if lockedVal == 0 {
 				if atom.Ver == layout.VerMax {
 					// Epoch rollover: lock Meta by making it odd.
-					rollover = true
 					lock := layout.SlotMeta{Epoch: metaOld.Epoch + 1, Len: metaOld.Len}
 					prev, err := c.vcas(metaAddr, metaOld.Pack(), lock.Pack())
 					if err != nil || prev != metaOld.Pack() {
@@ -1104,24 +1102,17 @@ func (c *Client) write(key, val []byte, tombstone bool) error {
 		}
 		slotVersion := layout.SlotVersion(epochKV, verNew)
 
-		// Decide whether this attempt can fuse the commit CAS into the
-		// placement doorbell (DESIGN.md §13). Only the steady-state
-		// UPDATE shape qualifies: a located slot with no Meta lock in
-		// hand — inserts and epoch rollovers keep the two-phase shape.
+		// Fuse the commit CAS into the placement doorbell (DESIGN.md
+		// §13). Every attempt holds a slot here: a located one, the
+		// free slot an INSERT claims (expected word 0), or one whose
+		// Meta lock it holds for a rollover or force-relock — the lock
+		// and unlock CASes stay outside the batch.
 		var fuse *fuseSpec
 		switch {
 		case !c.cl.Cfg.FusedCommit:
 			c.noteFallback(&c.wmet.FallbackDisabled)
 		case !c.ordered:
 			c.noteFallback(&c.wmet.FallbackCapability)
-		case !found:
-			c.noteFallback(&c.wmet.FallbackInsert)
-		case lockedVal != 0:
-			if rollover {
-				c.noteFallback(&c.wmet.FallbackRollover)
-			} else {
-				c.noteFallback(&c.wmet.FallbackLocked)
-			}
 		default:
 			if slotAddr, ok := c.cl.Addr(mn, slotOff); ok {
 				f := &c.wsc.fuse
@@ -1340,10 +1331,10 @@ type placedKV struct {
 // class, writing the pair and its per-parity deltas in one doorbell
 // batch (Figure 6 ①). With a fuse spec the commit CAS is appended as
 // the batch tail — the ordered-batch contract guarantees it executes
-// only after every placement write completed, collapsing the
-// steady-state UPDATE to a single round trip (DESIGN.md §13). A fused
-// batch is issued exactly once; the caller resolves the outcome from
-// placedKV rather than placeKV retrying.
+// only after every placement write completed, so the commit costs no
+// round trip of its own (DESIGN.md §13). A fused batch is issued
+// exactly once; the caller resolves the outcome from placedKV rather
+// than placeKV retrying.
 // All buffers and op slices come from the client's writeScratch, so a
 // steady-state call is allocation-free.
 func (c *Client) placeKV(key, val []byte, slotVersion uint64, tombstone bool, fuse *fuseSpec) (placedKV, error) {

@@ -96,13 +96,14 @@ type Config struct {
 	CacheValues bool
 	// FusedCommit fuses the commit CAS into the placement doorbell
 	// batch on fabrics that honour the rdma.OrderedBatcher contract:
-	// a steady-state UPDATE/DELETE of a located slot issues {KV write,
-	// delta writes, slot CAS} as one ordered batch — one round trip
-	// instead of two dependent ones. Inserts, Meta-locked slots and
-	// epoch rollovers keep the two-phase shape, and fabrics without
-	// the capability fall back automatically (DESIGN.md §13). On by
-	// default; the verbs experiment disables it to pin the paper's
-	// two-RTT write cost model.
+	// every write that holds a slot — an UPDATE/DELETE of a located
+	// slot, an INSERT into a free slot (expected word 0), a rollover or
+	// force-relocked write under the Meta lock — issues {KV write,
+	// delta writes, slot CAS} as one ordered batch instead of a batch
+	// followed by a dependent CAS. Fabrics without the capability fall
+	// back automatically (DESIGN.md §13). On by default; the verbs
+	// experiment disables it to pin the paper's two-RTT write cost
+	// model.
 	FusedCommit bool
 	// BlockPrefetch moves DATA/DELTA block provisioning off the write
 	// hot path: a per-client background worker pre-runs

@@ -15,13 +15,17 @@ type WriteMetrics struct {
 	Fused              atomic.Uint64 // commits fused into the placement batch (1 RTT)
 	FallbackDisabled   atomic.Uint64 // Config.FusedCommit off
 	FallbackCapability atomic.Uint64 // fabric lacks rdma.OrderedBatcher
-	FallbackInsert     atomic.Uint64 // inserting into an unknown slot
-	FallbackLocked     atomic.Uint64 // Meta lock held (force-relock path)
-	FallbackRollover   atomic.Uint64 // epoch rollover took the Meta lock
 	FallbackAddr       atomic.Uint64 // slot address unresolvable (MN down)
 	PrefetchHits       atomic.Uint64 // block refills served by the prefetcher
 	PrefetchMisses     atomic.Uint64 // refills that fell back to a synchronous alloc
 	DeltaSkips         atomic.Uint64 // delta copies not written (dead target or lost write)
+
+	// Inserts, force-relocked and rollover writes fuse like updates, so
+	// these three always read 0. They (and their /metrics lines) stay
+	// only because perfbench's window deltas read them.
+	FallbackInsert   atomic.Uint64
+	FallbackLocked   atomic.Uint64
+	FallbackRollover atomic.Uint64
 }
 
 // WriteSnapshot is a point-in-time copy of WriteMetrics.
